@@ -281,19 +281,7 @@ func BenchmarkFig9_GateLockEnterExit(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md section 5) --------------------------------------
-
-func BenchmarkAblationGuardMutex(b *testing.B) {
-	lockOpBench(b, dimmunix.Config{Guard: dimmunix.GuardMutex}, 64)
-}
-
-func BenchmarkAblationGuardSpin(b *testing.B) {
-	lockOpBench(b, dimmunix.Config{Guard: dimmunix.GuardSpin}, 64)
-}
-
-func BenchmarkAblationGuardFilter(b *testing.B) {
-	lockOpBench(b, dimmunix.Config{Guard: dimmunix.GuardFilter, MaxThreads: 16}, 64)
-}
+// --- Ablations --------------------------------------------------------------
 
 func BenchmarkAblationThreadIDExplicit(b *testing.B) {
 	rt := newRT(b, dimmunix.Config{})
@@ -509,16 +497,8 @@ func BenchmarkLockBareMutexParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkLockDataStructsShards measures the sharded guard where it is
-// designed to help: the data-structs ablation, whose bookkeeping takes
-// only the lock-shard/thread-shard pair instead of one global section.
-func BenchmarkLockDataStructsShards(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			benchLockParallel(b, dimmunix.Config{
-				Mode:        dimmunix.ModeDataStructs,
-				GuardShards: shards,
-			}, 0, 8)
-		})
-	}
+// BenchmarkLockDataStructs measures the data-structs ablation, whose
+// every acquisition updates the Allowed sets under the avoidance guard.
+func BenchmarkLockDataStructs(b *testing.B) {
+	benchLockParallel(b, dimmunix.Config{Mode: dimmunix.ModeDataStructs}, 0, 8)
 }

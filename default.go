@@ -135,15 +135,12 @@ func Shutdown() error {
 //	DIMMUNIX_TAU               monitor period, Go duration ("100ms")
 //	DIMMUNIX_MODE              off | instrument | datastructs | full
 //	DIMMUNIX_IMMUNITY          weak | strong
-//	DIMMUNIX_GUARD             mutex | spin | filter
 //	DIMMUNIX_RECOVERY          abort | off
 //	DIMMUNIX_MATCH_DEPTH       int
 //	DIMMUNIX_MAX_YIELD         Go duration
-//	DIMMUNIX_MAX_THREADS       int
 //	DIMMUNIX_STACK_DEPTH       int
 //	DIMMUNIX_CALIBRATE         bool
 //	DIMMUNIX_DISCARD_OBSOLETE  bool
-//	DIMMUNIX_GUARD_SHARDS      int (avoidance guard shard count)
 //	DIMMUNIX_THREAD_TTL        Go duration (idle implicit-thread pruning;
 //	                           negative disables)
 //	DIMMUNIX_FASTPATH          on | off (safe-stack lock-free bypass)
@@ -176,9 +173,6 @@ func configFromEnv() (Config, error) {
 	if err := envInt("DIMMUNIX_MATCH_DEPTH", &cfg.MatchDepth); err != nil {
 		return cfg, err
 	}
-	if err := envInt("DIMMUNIX_MAX_THREADS", &cfg.MaxThreads); err != nil {
-		return cfg, err
-	}
 	if err := envInt("DIMMUNIX_STACK_DEPTH", &cfg.StackDepth); err != nil {
 		return cfg, err
 	}
@@ -186,9 +180,6 @@ func configFromEnv() (Config, error) {
 		return cfg, err
 	}
 	if err := envBool("DIMMUNIX_DISCARD_OBSOLETE", &cfg.DiscardObsolete); err != nil {
-		return cfg, err
-	}
-	if err := envInt("DIMMUNIX_GUARD_SHARDS", &cfg.GuardShards); err != nil {
 		return cfg, err
 	}
 	if err := envDuration("DIMMUNIX_THREAD_TTL", &cfg.ThreadTTL); err != nil {
@@ -237,18 +228,6 @@ func configFromEnv() (Config, error) {
 			cfg.Immunity = StrongImmunity
 		default:
 			return cfg, fmt.Errorf("dimmunix: DIMMUNIX_IMMUNITY=%q (want weak|strong)", v)
-		}
-	}
-	if v := os.Getenv("DIMMUNIX_GUARD"); v != "" {
-		switch strings.ToLower(v) {
-		case "mutex":
-			cfg.Guard = GuardMutex
-		case "spin":
-			cfg.Guard = GuardSpin
-		case "filter":
-			cfg.Guard = GuardFilter
-		default:
-			return cfg, fmt.Errorf("dimmunix: DIMMUNIX_GUARD=%q (want mutex|spin|filter)", v)
 		}
 	}
 	if v := os.Getenv("DIMMUNIX_RECOVERY"); v != "" {

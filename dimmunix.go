@@ -87,8 +87,6 @@ type (
 	Mode = core.Mode
 	// ImmunityLevel selects weak or strong immunity.
 	ImmunityLevel = core.ImmunityLevel
-	// GuardKind selects the avoidance guard.
-	GuardKind = core.GuardKind
 	// DeadlockInfo is passed to the recovery hook.
 	DeadlockInfo = monitor.DeadlockInfo
 	// StarvationInfo is passed to the starvation/restart hook.
@@ -136,13 +134,6 @@ const (
 const (
 	WeakImmunity   = core.WeakImmunity
 	StrongImmunity = core.StrongImmunity
-)
-
-// Guards.
-const (
-	GuardMutex  = core.GuardMutex
-	GuardSpin   = core.GuardSpin
-	GuardFilter = core.GuardFilter
 )
 
 // Errors.

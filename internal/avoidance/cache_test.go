@@ -50,7 +50,7 @@ func (e *env) addSig(depth int, stacks ...*stack.Interned) *signature.Signature 
 
 func TestEmptyHistoryAlwaysGo(t *testing.T) {
 	e := newEnv(Config{Mode: ModeFull})
-	th := e.c.NewThread(1, 1, "t1")
+	th := e.c.NewThread(1, "t1")
 	l := e.c.NewLock()
 	s := e.stk("lock", "update", "main")
 	for i := 0; i < 5; i++ {
@@ -76,8 +76,8 @@ func setupPaperExample(t *testing.T, cfg Config) (*env, *ThreadState, *LockState
 	s23 := e.stk("lock", "update:s3", "main:s2")
 	e.addSig(3, s13, s23)
 
-	tk := e.c.NewThread(1, 1, "Tk")
-	tl := e.c.NewThread(2, 2, "Tl")
+	tk := e.c.NewThread(1, "Tk")
+	tl := e.c.NewThread(2, "Tl")
 	lockB := e.c.NewLock()
 	lockA := e.c.NewLock()
 
@@ -141,8 +141,8 @@ func TestNoYieldOnNonDeadlockPattern(t *testing.T) {
 	s23 := e.stk("lock", "update:s3", "main:s2")
 	e.addSig(3, s13, s23)
 
-	t1 := e.c.NewThread(1, 1, "T1")
-	t2 := e.c.NewThread(2, 2, "T2")
+	t1 := e.c.NewThread(1, "T1")
+	t2 := e.c.NewThread(2, "T2")
 	a := e.c.NewLock()
 	b := e.c.NewLock()
 
@@ -163,8 +163,8 @@ func TestDistinctLocksRequired(t *testing.T) {
 	sb := e.stk("lock", "fb")
 	e.addSig(2, sa, sb)
 
-	t1 := e.c.NewThread(1, 1, "T1")
-	t2 := e.c.NewThread(2, 2, "T2")
+	t1 := e.c.NewThread(1, "T1")
+	t2 := e.c.NewThread(2, "T2")
 	l := e.c.NewLock()
 
 	if dec := e.c.Request(t1, l, sb); !dec.Go {
@@ -185,7 +185,7 @@ func TestDistinctThreadsRequired(t *testing.T) {
 	sb := e.stk("lock", "fb")
 	e.addSig(2, sa, sb)
 
-	t1 := e.c.NewThread(1, 1, "T1")
+	t1 := e.c.NewThread(1, "T1")
 	a := e.c.NewLock()
 	b := e.c.NewLock()
 
@@ -206,8 +206,8 @@ func TestAllowEdgeCountsTowardInstance(t *testing.T) {
 	sb := e.stk("lock", "fb")
 	e.addSig(2, sa, sb)
 
-	t1 := e.c.NewThread(1, 1, "T1")
-	t2 := e.c.NewThread(2, 2, "T2")
+	t1 := e.c.NewThread(1, "T1")
+	t2 := e.c.NewThread(2, "T2")
 	a := e.c.NewLock()
 	b := e.c.NewLock()
 
@@ -232,8 +232,8 @@ func TestMatchingDepthControlsGenerality(t *testing.T) {
 	runA := e.stk("lock", "update", "callerZ")
 	runB := e.stk("lock", "update2", "callerW")
 
-	t1 := e.c.NewThread(1, 1, "T1")
-	t2 := e.c.NewThread(2, 2, "T2")
+	t1 := e.c.NewThread(1, "T1")
+	t2 := e.c.NewThread(2, "T2")
 	a := e.c.NewLock()
 	b := e.c.NewLock()
 
@@ -255,8 +255,8 @@ func TestDeeperDepthRejectsDifferingCallers(t *testing.T) {
 	runA := e.stk("lock", "update", "callerZ") // differs at frame 3
 	runB := e.stk("lock", "update2", "callerY")
 
-	t1 := e.c.NewThread(1, 1, "T1")
-	t2 := e.c.NewThread(2, 2, "T2")
+	t1 := e.c.NewThread(1, "T1")
+	t2 := e.c.NewThread(2, "T2")
 	a := e.c.NewLock()
 	b := e.c.NewLock()
 
@@ -338,8 +338,8 @@ func TestCancelRollsBackAllow(t *testing.T) {
 	sb := e.stk("lock", "fb")
 	e.addSig(2, sa, sb)
 
-	t1 := e.c.NewThread(1, 1, "T1")
-	t2 := e.c.NewThread(2, 2, "T2")
+	t1 := e.c.NewThread(1, "T1")
+	t2 := e.c.NewThread(2, "T2")
 	a := e.c.NewLock()
 	b := e.c.NewLock()
 
@@ -356,7 +356,7 @@ func TestReleaseOfReentrantHoldKeepsOwnership(t *testing.T) {
 	// DisableFastPath: this test exercises the guarded tier's reentrant
 	// entry bookkeeping, which a safe stack would otherwise bypass.
 	e := newEnv(Config{Mode: ModeFull, DisableFastPath: true})
-	t1 := e.c.NewThread(1, 1, "T1")
+	t1 := e.c.NewThread(1, "T1")
 	l := e.c.NewLock()
 	s1 := e.stk("lock", "outer")
 	s2 := e.stk("lock", "inner")
@@ -380,8 +380,8 @@ func TestThreadExitCleansEntries(t *testing.T) {
 	sb := e.stk("lock", "fb")
 	e.addSig(2, sa, sb)
 
-	t1 := e.c.NewThread(1, 1, "T1")
-	t2 := e.c.NewThread(2, 2, "T2")
+	t1 := e.c.NewThread(1, "T1")
+	t2 := e.c.NewThread(2, "T2")
 	a := e.c.NewLock()
 	b := e.c.NewLock()
 
@@ -398,8 +398,8 @@ func TestInstrumentModeNoBookkeeping(t *testing.T) {
 	sa := e.stk("lock", "fa")
 	sb := e.stk("lock", "fb")
 	e.addSig(2, sa, sb)
-	t1 := e.c.NewThread(1, 1, "T1")
-	t2 := e.c.NewThread(2, 2, "T2")
+	t1 := e.c.NewThread(1, "T1")
+	t2 := e.c.NewThread(2, "T2")
 	a := e.c.NewLock()
 	b := e.c.NewLock()
 	e.c.Request(t1, b, sb)
@@ -418,8 +418,8 @@ func TestDataStructsModeNoMatching(t *testing.T) {
 	sa := e.stk("lock", "fa")
 	sb := e.stk("lock", "fb")
 	e.addSig(2, sa, sb)
-	t1 := e.c.NewThread(1, 1, "T1")
-	t2 := e.c.NewThread(2, 2, "T2")
+	t1 := e.c.NewThread(1, "T1")
+	t2 := e.c.NewThread(2, "T2")
 	a := e.c.NewLock()
 	b := e.c.NewLock()
 	e.c.Request(t1, b, sb)
@@ -439,9 +439,9 @@ func TestThreeThreadSignatureInstance(t *testing.T) {
 	s3 := e.stk("lock", "f3")
 	e.addSig(2, s1, s2, s3)
 
-	t1 := e.c.NewThread(1, 1, "T1")
-	t2 := e.c.NewThread(2, 2, "T2")
-	t3 := e.c.NewThread(3, 3, "T3")
+	t1 := e.c.NewThread(1, "T1")
+	t2 := e.c.NewThread(2, "T2")
+	t3 := e.c.NewThread(3, "T3")
 	a := e.c.NewLock()
 	b := e.c.NewLock()
 	cL := e.c.NewLock()
@@ -467,8 +467,8 @@ func TestMultisetSignatureNeedsTwoThreadsSameStack(t *testing.T) {
 	s := e.stk("lock", "shared")
 	e.addSig(2, s, s)
 
-	t1 := e.c.NewThread(1, 1, "T1")
-	t2 := e.c.NewThread(2, 2, "T2")
+	t1 := e.c.NewThread(1, "T1")
+	t2 := e.c.NewThread(2, "T2")
 	a := e.c.NewLock()
 	b := e.c.NewLock()
 
@@ -488,8 +488,8 @@ func TestNewSignatureAppliesWithoutRestart(t *testing.T) {
 	s13 := e.stk("lock", "update:s3", "main:s1")
 	s23 := e.stk("lock", "update:s3", "main:s2")
 
-	tk := e.c.NewThread(1, 1, "Tk")
-	tl := e.c.NewThread(2, 2, "Tl")
+	tk := e.c.NewThread(1, "Tk")
+	tl := e.c.NewThread(2, "Tl")
 	a := e.c.NewLock()
 	b := e.c.NewLock()
 
@@ -517,8 +517,8 @@ func TestProbeDepthCountsFalsePositives(t *testing.T) {
 	runA := e.stk("lock", "update", "callerZ")
 	runB := e.stk("lock", "update2", "callerW")
 
-	t1 := e.c.NewThread(1, 1, "T1")
-	t2 := e.c.NewThread(2, 2, "T2")
+	t1 := e.c.NewThread(1, "T1")
+	t2 := e.c.NewThread(2, "T2")
 	a := e.c.NewLock()
 	b := e.c.NewLock()
 
@@ -572,7 +572,7 @@ func TestCoverAgainstBruteForce(t *testing.T) {
 		threads := make([]*ThreadState, T)
 		locks := make([]*LockState, L)
 		for i := range threads {
-			threads[i] = e.c.NewThread(int32(i+1), i+1, "t")
+			threads[i] = e.c.NewThread(int32(i+1), "t")
 		}
 		for i := range locks {
 			locks[i] = e.c.NewLock()
@@ -598,7 +598,7 @@ func TestCoverAgainstBruteForce(t *testing.T) {
 		}
 
 		// The requester: a fresh thread + fresh lock.
-		reqT := e.c.NewThread(99, T+1, "req")
+		reqT := e.c.NewThread(99, "req")
 		reqL := e.c.NewLock()
 		reqS := pool[rng.Intn(len(pool))]
 		dec := e.c.Request(reqT, reqL, reqS)

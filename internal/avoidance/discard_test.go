@@ -16,8 +16,8 @@ func TestDiscardObsoleteSignature(t *testing.T) {
 	sig := e.addSig(2, sa, sb)
 	sig.Calib = calib.NewState(2, 1, 1000) // tiny ladder: 2 rungs, NA=1
 
-	holder := e.c.NewThread(1, 1, "holder")
-	requester := e.c.NewThread(2, 2, "req")
+	holder := e.c.NewThread(1, "holder")
+	requester := e.c.NewThread(2, "req")
 	lb := e.c.NewLock()
 	la := e.c.NewLock()
 
@@ -64,8 +64,8 @@ func TestNoDiscardWhenDisabled(t *testing.T) {
 	sig := e.addSig(2, sa, sb)
 	sig.Calib = calib.NewState(2, 1, 1000)
 
-	holder := e.c.NewThread(1, 1, "holder")
-	requester := e.c.NewThread(2, 2, "req")
+	holder := e.c.NewThread(1, "holder")
+	requester := e.c.NewThread(2, "req")
 	lb := e.c.NewLock()
 	la := e.c.NewLock()
 	e.c.Request(holder, lb, sb)
@@ -90,8 +90,8 @@ func TestLastAvoidedTracking(t *testing.T) {
 	sa := e.stk("lock", "fa")
 	sb := e.stk("lock", "fb")
 	sig := e.addSig(2, sa, sb)
-	holder := e.c.NewThread(1, 1, "holder")
-	requester := e.c.NewThread(2, 2, "req")
+	holder := e.c.NewThread(1, "holder")
+	requester := e.c.NewThread(2, "req")
 	lb := e.c.NewLock()
 	la := e.c.NewLock()
 	e.c.Request(holder, lb, sb)

@@ -96,8 +96,8 @@ func TestFastPathDifferentialRandom(t *testing.T) {
 		// Differential check: when the fast tier says GO, the guarded
 		// protocol must agree (its decision for a safe stack is always
 		// GO, whatever the adversarially chosen entry state is).
-		th := e.c.NewThread(1, 1, "probe")
-		adv := e.c.NewThread(2, 2, "adversary")
+		th := e.c.NewThread(1, "probe")
+		adv := e.c.NewThread(2, "adversary")
 		for i, in := range probes {
 			l := e.c.NewLock()
 			// Adversarial entries: the adversary holds a lock at every
@@ -222,7 +222,7 @@ func TestFastPathReloadUnderRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			th := c.NewThread(int32(10+i), 10+i, "hammer")
+			th := c.NewThread(int32(10+i), "hammer")
 			l := c.NewLock()
 			for {
 				select {
@@ -295,7 +295,7 @@ func TestFastPathReloadUnderRace(t *testing.T) {
 // hold accounting balances across mixed tiers.
 func TestReentrantFastTierPairing(t *testing.T) {
 	e := newEnv(Config{Mode: ModeFull})
-	th := e.c.NewThread(1, 1, "t1")
+	th := e.c.NewThread(1, "t1")
 	l := e.c.NewLock()
 	outer := e.stk("lock", "outer")
 	inner := e.stk("lock", "inner")
@@ -335,7 +335,7 @@ func TestReentrantFastTierPairing(t *testing.T) {
 // benchmark baselines.
 func TestFastPathDisabled(t *testing.T) {
 	e := newEnv(Config{Mode: ModeFull, DisableFastPath: true})
-	th := e.c.NewThread(1, 1, "t1")
+	th := e.c.NewThread(1, "t1")
 	l := e.c.NewLock()
 	s := e.stk("lock", "main")
 	if e.c.FastEligible(s) {
@@ -350,31 +350,26 @@ func TestFastPathDisabled(t *testing.T) {
 	}
 }
 
-// TestGuardShardsBehavior runs the paper example and basic bookkeeping
-// through a sharded guard, asserting decisions are unchanged.
-func TestGuardShardsBehavior(t *testing.T) {
-	for _, shards := range []int{2, 4, 7} {
-		e, tl, a, s13, dec := setupPaperExample(t, Config{Mode: ModeFull, GuardShards: shards})
-		if dec.Sig == nil {
-			t.Fatalf("shards=%d: yield expected on the paper example", shards)
+// TestPaperExampleUnrelatedBookkeeping runs the paper example to its
+// yield, then checks that unrelated stacks still GO and that their
+// acquire/release bookkeeping balances alongside the live instance.
+func TestPaperExampleUnrelatedBookkeeping(t *testing.T) {
+	e, _, _, _, dec := setupPaperExample(t, Config{Mode: ModeFull})
+	if dec.Sig == nil {
+		t.Fatal("yield expected on the paper example")
+	}
+	th := e.c.NewThread(7, "w")
+	for i := 0; i < 10; i++ {
+		l := e.c.NewLock()
+		s := e.stk("lock", fmt.Sprintf("site%d", i))
+		if !e.c.Request(th, l, s).Go {
+			t.Fatal("unrelated stack must GO")
 		}
-		_ = tl
-		_ = a
-		_ = s13
-		// Exercise pair-scope bookkeeping across several locks.
-		th := e.c.NewThread(7, 7, "w")
-		for i := 0; i < 10; i++ {
-			l := e.c.NewLock()
-			s := e.stk("lock", fmt.Sprintf("site%d", i))
-			if !e.c.Request(th, l, s).Go {
-				t.Fatalf("shards=%d: unrelated stack must GO", shards)
-			}
-			e.c.Acquired(th, l)
-			e.c.Release(th, l)
-		}
-		if got := th.LiveHolds(); got != 0 {
-			t.Fatalf("shards=%d: LiveHolds = %d", shards, got)
-		}
+		e.c.Acquired(th, l)
+		e.c.Release(th, l)
+	}
+	if got := th.LiveHolds(); got != 0 {
+		t.Fatalf("LiveHolds = %d", got)
 	}
 }
 
@@ -388,8 +383,8 @@ func TestGuardShardsBehavior(t *testing.T) {
 func reconcileScenario(t *testing.T, shared bool, mutate func(e *env, sA, sB *stack.Interned)) {
 	t.Helper()
 	e := newEnv(Config{Mode: ModeFull})
-	t1 := e.c.NewThread(1, 1, "T1")
-	t2 := e.c.NewThread(2, 2, "T2")
+	t1 := e.c.NewThread(1, "T1")
+	t2 := e.c.NewThread(2, "T2")
 	a, b := e.c.NewLock(), e.c.NewLock()
 	sA := e.stk("lockA", "holder", "main")
 	sB := e.stk("lockB", "requester", "main")
@@ -459,8 +454,8 @@ func TestEpochBumpReconcilesOutstandingFastHolds(t *testing.T) {
 // the hold itself.
 func TestNoteFastHoldSelfAdoptsAfterEpochBump(t *testing.T) {
 	e := newEnv(Config{Mode: ModeFull})
-	t1 := e.c.NewThread(1, 1, "T1")
-	t2 := e.c.NewThread(2, 2, "T2")
+	t1 := e.c.NewThread(1, "T1")
+	t2 := e.c.NewThread(2, "T2")
 	a, b := e.c.NewLock(), e.c.NewLock()
 	sA := e.stk("lockA", "holder", "main")
 	sB := e.stk("lockB", "requester", "main")

@@ -56,7 +56,7 @@ func TestFastPathMergeUnderRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			th := c.NewThread(int32(10+i), 10+i, "hammer")
+			th := c.NewThread(int32(10+i), "hammer")
 			l := c.NewLock()
 			for {
 				select {

@@ -6,41 +6,14 @@ import (
 	"dimmunix/internal/core"
 )
 
-// Ablation benchmarks the DESIGN.md §5 design choices: the avoidance
-// guard implementation (§5.6's Peterson filter vs sync.Mutex vs TAS
-// spin), implicit goroutine-ID thread resolution vs explicit Thread
-// handles, and dynamic calibration on/off.
+// Ablation benchmarks two design choices: implicit goroutine-ID thread
+// resolution vs explicit Thread handles, and dynamic matching-depth
+// calibration (§5.5) on/off.
 func Ablation(s Scale) Report {
 	rep := Report{
 		ID:     "ablation",
 		Title:  "Design ablations",
 		Header: []string{"Variant", "ops/s", "Overhead vs best"},
-	}
-
-	// Guard choice at 32 threads, 64 signatures.
-	type variant struct {
-		name  string
-		guard core.GuardKind
-	}
-	variants := []variant{
-		{"guard=sync.Mutex", core.GuardMutex},
-		{"guard=TAS spin", core.GuardSpin},
-		{"guard=Peterson filter", core.GuardFilter},
-	}
-	results := make([]float64, len(variants))
-	best := 0.0
-	for i, v := range variants {
-		res := runPoint(s, pointOpts{
-			threads: 32, din: time.Microsecond, dout: time.Millisecond,
-			hist: 64, guard: v.guard,
-		})
-		results[i] = res.Throughput
-		if res.Throughput > best {
-			best = res.Throughput
-		}
-	}
-	for i, v := range variants {
-		rep.Rows = append(rep.Rows, []string{v.name, f1(results[i]), pct(overhead(best, results[i]))})
 	}
 
 	// Implicit (goroutine-id parse) vs explicit thread identity.
@@ -56,7 +29,6 @@ func Ablation(s Scale) Report {
 	rep.Rows = append(rep.Rows, []string{"calibration on", f1(calOn.Throughput), pct(overhead(b, calOn.Throughput))})
 
 	rep.Notes = append(rep.Notes,
-		"guard: the filter lock is the paper's lock-free construction; sync.Mutex is the practical default",
 		"thread-ID: ops/s of a single uncontended lock/unlock loop through each identity path",
 	)
 	return rep

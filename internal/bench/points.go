@@ -22,7 +22,6 @@ type pointOpts struct {
 	mode       core.Mode
 	ignore     bool
 	probeDepth int
-	guard      core.GuardKind
 	calibrate  bool
 
 	dur    time.Duration
@@ -91,9 +90,7 @@ func runPointOnce(s Scale, o pointOpts) workload.Result {
 		StackDepth:      12,
 		IgnoreDecisions: o.ignore,
 		ProbeDepth:      o.probeDepth,
-		Guard:           o.guard,
 		Calibrate:       o.calibrate,
-		MaxThreads:      o.threads + 8,
 		MaxYield:        50 * time.Millisecond,
 		OnDeadlock: func(info monitor.DeadlockInfo) {
 			rt.AbortThreads(info.ThreadIDs...)

@@ -1,7 +1,7 @@
 // Package bench is the experiment harness: it regenerates every table and
 // figure of the paper's evaluation (§7) on the simulated substrates, and
 // renders the same rows/series the paper reports. cmd/dimmunix-bench is
-// the CLI front end; EXPERIMENTS.md records paper-vs-measured.
+// the CLI front end.
 package bench
 
 import (
@@ -90,7 +90,7 @@ func All() []Experiment {
 		{"fig8", "Overhead breakdown (Figure 8)", Fig8},
 		{"fig9", "False-positive overhead vs matching depth + gate/ghost locks (Figure 9)", Fig9},
 		{"resources", "Resource utilization (Section 7.4)", Resources},
-		{"ablation", "Design ablations (DESIGN.md section 5)", Ablation},
+		{"ablation", "Design ablations", Ablation},
 	}
 }
 

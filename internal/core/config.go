@@ -1,8 +1,7 @@
 // Package core ties Dimmunix together: the Runtime owns the history, the
 // avoidance cache, the event queue, and the monitor thread; Thread and
 // Mutex are the instrumented primitives applications use in place of raw
-// goroutine identity and sync.Mutex (which Go does not let us interpose —
-// see DESIGN.md §2 for the substitution argument).
+// goroutine identity and sync.Mutex (which Go does not let us interpose).
 package core
 
 import (
@@ -44,26 +43,12 @@ const (
 	StrongImmunity
 )
 
-// GuardKind selects the §5.6 guard protecting the shared avoidance
-// structures.
-type GuardKind uint8
-
-const (
-	// GuardMutex uses sync.Mutex (default).
-	GuardMutex GuardKind = iota
-	// GuardSpin uses a test-and-set spin lock.
-	GuardSpin
-	// GuardFilter uses the generalized Peterson filter lock, the
-	// paper's lock-free construction. Requires MaxThreads slots.
-	GuardFilter
-)
-
 // DefaultMaxYield bounds how long a thread may be kept yielding to avoid a
 // pattern before it is forcibly released (§5.7 suggests e.g. 200 ms).
 const DefaultMaxYield = 200 * time.Millisecond
 
 // DefaultThreadTTL is how long an implicitly-registered goroutine may sit
-// idle before its thread slot is pruned (Config.ThreadTTL).
+// idle before its registration is pruned (Config.ThreadTTL).
 const DefaultThreadTTL = time.Minute
 
 // DefaultSyncInterval is the history-store sync cadence used when a
@@ -163,29 +148,13 @@ type Config struct {
 	// AbortDisableThreshold auto-disables a signature after this many
 	// max-yield aborts (0 = never auto-disable).
 	AbortDisableThreshold uint64
-	// Guard selects the avoidance guard implementation.
-	Guard GuardKind
-	// GuardShards splits the avoidance guard into this many independently
-	// lockable shards (<= 1 keeps the single global guard). Decision
-	// operations still acquire every shard; bookkeeping operations
-	// (acquired/release) take only the lock's shard and the thread's home
-	// shard, so they stop serializing against each other. Most workloads
-	// should prefer the default: the lock-free fast path already removes
-	// safe traffic from the guard entirely, and sharding only helps when
-	// the residual guarded bookkeeping itself is contended (e.g. the
-	// data-structs ablation, or dense dangerous-stack traffic over many
-	// locks).
-	GuardShards int
 	// DisableFastPath forces every request through the guarded §5.4
 	// protocol, disabling the epoch-validated safe-stack bypass. Used for
 	// benchmark baselines and differential testing.
 	DisableFastPath bool
-	// MaxThreads sizes the thread slot table (default 1024; the paper
-	// scales Dimmunix to 1024 threads).
-	MaxThreads int
 	// ThreadTTL bounds how long an idle implicitly-registered thread
 	// (CurrentThread with no explicit handle) stays registered: a
-	// goroutine quiescent for at least this long has its thread slot
+	// goroutine quiescent for at least this long has its registration
 	// pruned and reclaimed, so goroutine-per-request servers do not grow
 	// the runtime maps unboundedly. Zero selects DefaultThreadTTL;
 	// negative disables pruning. Explicit RegisterThread handles are
@@ -240,12 +209,6 @@ func (c *Config) fill() {
 	}
 	if c.ShutdownTimeout == 0 {
 		c.ShutdownTimeout = DefaultShutdownTimeout
-	}
-	if c.MaxThreads <= 0 {
-		c.MaxThreads = 1024
-	}
-	if c.GuardShards < 1 {
-		c.GuardShards = 1
 	}
 	if c.ThreadTTL == 0 {
 		c.ThreadTTL = DefaultThreadTTL

@@ -69,6 +69,7 @@ func forceDeadlockVia(rt *Runtime, a, b *Mutex, first1, first2 func(*Thread, *Mu
 			return
 		}
 		time.Sleep(hold)
+		//lint:ignore lockorder deliberate inversion: this harness exists to deadlock
 		if e := b.LockT(t1); e != nil {
 			_ = a.UnlockT(t1)
 			err1 = e
@@ -646,24 +647,6 @@ func TestModeOffIsRawMutex(t *testing.T) {
 	}
 }
 
-func TestGuardVariants(t *testing.T) {
-	for _, g := range []GuardKind{GuardMutex, GuardSpin, GuardFilter} {
-		cfg := testConfig()
-		cfg.MatchDepth = 2
-		cfg.Guard = g
-		cfg.MaxThreads = 32
-		var rt *Runtime
-		cfg.OnDeadlock = func(info monitor.DeadlockInfo) { rt.AbortThreads(info.ThreadIDs...) }
-		rt = MustNew(cfg)
-		a, b := rt.NewMutex(), rt.NewMutex()
-		forceDeadlock(rt, a, b, holdTime)
-		if rt.History().Len() != 1 {
-			t.Errorf("guard %d: history len %d", g, rt.History().Len())
-		}
-		rt.Stop()
-	}
-}
-
 func TestReloadHistoryLivePatch(t *testing.T) {
 	dir := t.TempDir()
 	histPath := filepath.Join(dir, "hist.json")
@@ -739,11 +722,8 @@ func TestStopIdempotentAndSaves(t *testing.T) {
 	}
 }
 
-func TestThreadCloseFreesSlot(t *testing.T) {
-	cfg := testConfig()
-	cfg.Guard = GuardFilter
-	cfg.MaxThreads = 2
-	rt := MustNew(cfg)
+func TestThreadCloseUnregisters(t *testing.T) {
+	rt := MustNew(testConfig())
 	defer rt.Stop()
 	for i := 0; i < 10; i++ {
 		th := rt.RegisterThread("t")

@@ -319,7 +319,7 @@ func TestSyncStatsAndRoundEvents(t *testing.T) {
 	})
 }
 
-// TestHistorySummaryGuardedRead exercises the admin-slot guarded
+// TestHistorySummaryGuardedRead exercises the guarded
 // snapshot: per-signature counters and the per-runtime yield split.
 func TestHistorySummaryGuardedRead(t *testing.T) {
 	cfg := testConfig()

@@ -1,5 +1,5 @@
 // Tests for idle-thread pruning: goroutine-per-request churn must not
-// grow the runtime's thread registry or slot space without bound, and the
+// grow the runtime's thread registry without bound, and the
 // pin/retire protocol must be safe against concurrent implicit lookups.
 package core
 
@@ -81,18 +81,26 @@ func TestPruneReusesSlots(t *testing.T) {
 	rt := newPruneRT(t, Config{})
 	m := rt.NewMutex()
 
+	// 200 goroutines churned in rounds: every round's pruning must empty
+	// both registry tables, so the runtime reuses them instead of growing.
 	for round := 0; round < 20; round++ {
 		churn(t, rt, m, 10)
 		rt.PruneIdleThreads()
 		rt.PruneIdleThreads()
-	}
-	rt.slotMu.Lock()
-	next := rt.nextSlot
-	rt.slotMu.Unlock()
-	// 200 goroutines churned; without slot reuse nextSlot would exceed
-	// 200. With reuse it stays near the per-round high-water mark.
-	if next > 40 {
-		t.Fatalf("nextSlot = %d: pruned slots are not being reused", next)
+		if got := rt.NumThreads(); got != 0 {
+			t.Fatalf("round %d: NumThreads = %d after pruning", round, got)
+		}
+		for i := range rt.idTab {
+			rt.idTab[i].mu.RLock()
+			n := len(rt.idTab[i].m)
+			rt.idTab[i].mu.RUnlock()
+			rt.gidTab[i].mu.RLock()
+			n += len(rt.gidTab[i].m)
+			rt.gidTab[i].mu.RUnlock()
+			if n != 0 {
+				t.Fatalf("round %d: registry shard %d keeps %d entries", round, i, n)
+			}
+		}
 	}
 }
 
@@ -184,7 +192,7 @@ func TestPruneWorksInModeOff(t *testing.T) {
 }
 
 // TestPrunedHandleDetected: a retired explicit-use handle fails fast with
-// ErrThreadPruned instead of corrupting slot state.
+// ErrThreadPruned instead of corrupting thread state.
 func TestPrunedHandleDetected(t *testing.T) {
 	rt := newPruneRT(t, Config{})
 	m := rt.NewMutex()

@@ -70,8 +70,8 @@ type classEntry struct {
 // pin marks an operation in flight on this handle: the idle pruner never
 // retires a pinned thread, so a blocked lock wait (which may leave no
 // other avoidance footprint on the fast tier) cannot lose its identity
-// or slot mid-operation. Every core lock/unlock/wait entry point pins for
-// its duration; pinning an explicit (non-prunable) handle is harmless.
+// mid-operation. Every core lock/unlock/wait entry point pins for its
+// duration; pinning an explicit (non-prunable) handle is harmless.
 func (t *Thread) pin() { t.pins.Add(1) }
 
 // unpin releases a pin taken by pin or Runtime.currentPinned.
@@ -95,7 +95,7 @@ func (t *Thread) Priority() int32 { return t.ts.Priority.Load() }
 // graph. The thread must not hold any Dimmunix mutex. Closing a thread
 // the idle pruner already retired is a no-op.
 func (t *Thread) Close() {
-	t.rt.removeThread(t, false)
+	t.rt.removeThread(t)
 }
 
 // signalAbort makes the thread's pending (and next) lock wait fail with

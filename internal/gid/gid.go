@@ -7,7 +7,8 @@
 // all Go releases to date. Because the parse costs a stack dump, callers on
 // hot paths should prefer the explicit Thread-handle API in internal/core;
 // this package exists so the implicit path works at all, and its cost is
-// measured by BenchmarkCurrent (the ablation in DESIGN.md §5.2).
+// measured by BenchmarkCurrent and by the thread-ID rows of the
+// internal/bench ablation.
 package gid
 
 import (

@@ -87,11 +87,6 @@ type Config struct {
 	PortRules []sigport.Rule
 	// Fingerprint identifies this build (signature.BuildFingerprint).
 	Fingerprint string
-	// SyncSlot is the avoidance-guard slot the sync domain uses when it
-	// takes the decision scope (distinct from the monitor's slot 0, so
-	// the filter guard stays sound when the sync loop and a monitor pass
-	// overlap).
-	SyncSlot int
 
 	// OnDeadlock is the §3 recovery hook.
 	OnDeadlock func(DeadlockInfo)

@@ -38,7 +38,7 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 func (f *fixture) thread(id int32) *avoidance.ThreadState {
 	ts := f.threads[id]
 	if ts == nil {
-		ts = f.cache.NewThread(id, int(id), "t")
+		ts = f.cache.NewThread(id, "t")
 		f.threads[id] = ts
 	}
 	return ts

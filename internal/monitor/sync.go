@@ -191,8 +191,8 @@ func (m *Monitor) syncOnce(ctx context.Context) error {
 				m.Counters.SyncPorted.Add(1)
 			}
 			// The join may adopt disabled/revision state onto live
-			// signatures the avoidance matchers read — guard scope.
-			m.cache.WithGuard(m.cfg.SyncSlot, func() {
+			// signatures the avoidance matchers read, so it runs under the guard.
+			m.cache.WithGuard(func() {
 				pulled = m.hist.Merge(remote)
 			})
 			if pulled > 0 {
@@ -263,7 +263,7 @@ func (s *syncer) noteRoundError(err error) {
 // holding the guard across store I/O.
 func (m *Monitor) snapshotForStore() *signature.History {
 	var snap *signature.History
-	m.cache.WithGuard(m.cfg.SyncSlot, func() {
+	m.cache.WithGuard(func() {
 		snap = m.hist.CloneForStore()
 	})
 	return snap

@@ -5,7 +5,7 @@
 // the thread/lock structure that made it deadlock — the same thread count,
 // the same lock-order inversion, the same nesting depth — driven by the
 // paper's own methodology of timing loops that turn the race into a
-// deterministic "exploit". See DESIGN.md §2 for the substitution argument.
+// deterministic "exploit".
 package simapp
 
 import (

@@ -100,11 +100,6 @@ func WithImmunity(l ImmunityLevel) Option {
 	return func(c *Config) { c.Immunity = l }
 }
 
-// WithGuard selects the §5.6 avoidance guard implementation.
-func WithGuard(g GuardKind) Option {
-	return func(c *Config) { c.Guard = g }
-}
-
 // WithMatchDepth sets the matching depth recorded in new signatures
 // (§5.5; default 4).
 func WithMatchDepth(d int) Option {
@@ -128,22 +123,10 @@ func WithMaxYield(d time.Duration) Option {
 	return func(c *Config) { c.MaxYield = d }
 }
 
-// WithGuardShards splits the avoidance guard into n independently
-// lockable shards (n <= 1 keeps the single global guard). Decision
-// operations still acquire every shard; bookkeeping (acquired/release)
-// takes only the lock's shard plus the thread's home shard. Most
-// workloads should not need this — the lock-free fast path already keeps
-// safe traffic off the guard entirely; sharding targets residual guarded
-// bookkeeping contention (e.g. dense dangerous-stack traffic over many
-// independent locks, or the data-structs ablation).
-func WithGuardShards(n int) Option {
-	return func(c *Config) { c.GuardShards = n }
-}
-
 // WithThreadTTL bounds how long an idle implicitly-registered goroutine
-// keeps its thread slot before the runtime prunes and recycles it
-// (default one minute; negative disables pruning). Explicit
-// RegisterThread handles are never pruned.
+// stays registered before the runtime prunes it (default one minute;
+// negative disables pruning). Explicit RegisterThread handles are never
+// pruned.
 func WithThreadTTL(d time.Duration) Option {
 	return func(c *Config) { c.ThreadTTL = d }
 }
@@ -153,11 +136,6 @@ func WithThreadTTL(d time.Duration) Option {
 // benchmark baselines and differential testing.
 func WithoutFastPath() Option {
 	return func(c *Config) { c.DisableFastPath = true }
-}
-
-// WithMaxThreads sizes the thread slot table (default 1024).
-func WithMaxThreads(n int) Option {
-	return func(c *Config) { c.MaxThreads = n }
 }
 
 // WithStackDepth sets the number of frames captured per lock operation.
